@@ -30,9 +30,8 @@ const parallelPath = Module + "/internal/parallel"
 //
 // Ownership transfers are exempt: a buffer stored into a struct field,
 // slice, or map, returned to the caller, appended into another
-// collection, or sent over a channel (the streamed-commit chunk
-// hand-off: the consumer stage Puts after feeding the committer) is
-// someone else's to Put. See DESIGN.md §6.3.
+// collection, or sent over a channel is someone else's to Put. See
+// DESIGN.md §6.3.
 var ArenaPair = &Analyzer{
 	Name: "arenapair",
 	Doc:  "flag arena Get calls whose buffer is not Put on every path (early returns included)",

@@ -1,7 +1,8 @@
 // Package fixture shows the sanctioned concurrency patterns outside
-// internal/parallel: stage DAGs via parallel.Stage (every goroutine is
-// spawned inside the engine against its worker budget) and futures
-// resolved without hand-rolled spawns. None of these are findings.
+// internal/parallel: coarse fan-out via parallel.Run, chunked loops via
+// parallel.For (every goroutine is spawned inside the engine against its
+// worker budget), and Budget leases sizing that work. None of these are
+// findings.
 package fixture
 
 import (
@@ -10,48 +11,33 @@ import (
 	"zkphire/internal/parallel"
 )
 
-// stagedPipeline runs a two-stage DAG; the scheduler owns the spawns.
-func stagedPipeline(ctx context.Context) (int, error) {
-	g := parallel.NewGraph(ctx, 4)
-	a := parallel.Stage(g, "produce", parallel.Span(1, 2),
-		func(ctx context.Context, workers int) (int, error) {
-			return workers, nil
-		})
-	b := parallel.Stage(g, "consume", parallel.Coordinate(),
-		func(ctx context.Context, _ int) (int, error) {
-			return a.MustWait() + 1, nil
-		}, a)
-	if err := g.Wait(); err != nil {
-		return 0, err
-	}
-	return b.MustWait(), nil
-}
-
-// fanOut leases per item through the graph's budget — bounded
-// concurrency without a single go statement in this package.
-func fanOut(ctx context.Context, items []int) ([]int, error) {
-	g := parallel.NewGraph(ctx, 2)
-	futs := make([]*parallel.Future[int], len(items))
-	for i, it := range items {
-		futs[i] = parallel.Stage(g, "item", parallel.Span(1, 1),
-			func(ctx context.Context, _ int) (int, error) {
-				return it * it, nil
-			})
-	}
-	if err := g.Wait(); err != nil {
+// leasedFanOut leases workers from a shared budget and spends them on
+// one coarse task per item — bounded concurrency without a single go
+// statement in this package.
+func leasedFanOut(ctx context.Context, budget *parallel.Budget, items []int) ([]int, error) {
+	lease, err := budget.AcquireUpTo(ctx, 1, len(items))
+	if err != nil {
 		return nil, err
 	}
-	out := make([]int, len(futs))
-	for i, f := range futs {
-		out[i] = f.MustWait()
-	}
+	defer lease.Release()
+	out := make([]int, len(items))
+	parallel.Run(lease.Workers(), len(items), func(i int) {
+		out[i] = items[i] * items[i]
+	})
 	return out, nil
 }
 
-// externalResolve completes a future from the current goroutine — a
-// future is a result slot, not a licence to spawn.
-func externalResolve(v int) *parallel.Future[int] {
-	f, resolve := parallel.NewFuture[int]()
-	resolve(v, nil)
-	return f
+// chunkedSum splits a loop across the budget; the engine owns the spawns.
+func chunkedSum(workers int, vs []int) int {
+	partial := make([]int, len(vs))
+	parallel.For(workers, len(vs), func(lo, hi int) {
+		for i := lo; i < hi; i++ {
+			partial[i] = vs[i] + 1
+		}
+	})
+	sum := 0
+	for _, p := range partial {
+		sum += p
+	}
+	return sum
 }

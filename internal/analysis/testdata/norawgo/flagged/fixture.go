@@ -1,10 +1,14 @@
 // Package fixture spawns raw goroutines outside internal/parallel;
-// both the loop and non-loop forms are findings, and resolving a
-// parallel.Future from a hand-rolled goroutine is no exemption — the
-// future is a result slot, the spawn still escapes the worker budget.
+// both the loop and non-loop forms are findings, and holding a
+// parallel.Budget lease is no exemption — the lease sizes the work, the
+// spawn still escapes the engine.
 package fixture
 
-import "zkphire/internal/parallel"
+import (
+	"context"
+
+	"zkphire/internal/parallel"
+)
 
 func spawn(done chan struct{}) {
 	go func() { close(done) }() // want "raw go statement outside internal/parallel"
@@ -16,18 +20,26 @@ func spawnLoop(ch chan int) {
 	}
 }
 
-func handRolledFuture(v int) *parallel.Future[int] {
-	f, resolve := parallel.NewFuture[int]()
-	go func() { resolve(v, nil) }() // want "raw go statement outside internal/parallel"
-	return f
+func leasedSpawn(ctx context.Context, budget *parallel.Budget, out chan<- int) error {
+	lease, err := budget.Acquire(ctx, 1)
+	if err != nil {
+		return err
+	}
+	go func() { // want "raw go statement outside internal/parallel"
+		defer lease.Release()
+		out <- lease.Workers()
+	}()
+	return nil
 }
 
-func handRolledFanOut(vs []int) []*parallel.Future[int] {
-	futs := make([]*parallel.Future[int], len(vs))
-	for i, v := range vs {
-		f, resolve := parallel.NewFuture[int]()
-		go func() { resolve(v, nil) }() // want "goroutine spawned in a loop outside internal/parallel"
-		futs[i] = f
+func leasedFanOut(ctx context.Context, budget *parallel.Budget, vs []int, out chan<- int) error {
+	lease, err := budget.Acquire(ctx, len(vs))
+	if err != nil {
+		return err
 	}
-	return futs
+	defer lease.Release()
+	for _, v := range vs {
+		go func() { out <- v * lease.Workers() }() // want "goroutine spawned in a loop outside internal/parallel"
+	}
+	return nil
 }

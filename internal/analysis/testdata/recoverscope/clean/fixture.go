@@ -60,8 +60,7 @@ func tryDeferred() error {
 	return work(lease.Workers())
 }
 
-// escapesAsValue hands the release duty to the caller as a method value
-// (the pipeline's elastic acquire does exactly this).
+// escapesAsValue hands the release duty to the caller as a method value.
 func escapesAsValue(ctx context.Context) (int, func(), error) {
 	lease, err := budget.AcquireUpTo(ctx, 1, 4)
 	if err != nil {

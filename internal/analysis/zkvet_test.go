@@ -56,8 +56,8 @@ func TestNoRawGoFlagged(t *testing.T) {
 	analysistest.Run(t, one(analysis.NoRawGo), "testdata/norawgo/flagged", fixturePath)
 }
 
-// TestNoRawGoClean: stage DAGs, budget fan-out, and externally resolved
-// futures route every spawn through internal/parallel — no findings.
+// TestNoRawGoClean: leased fan-out via parallel.Run and chunked loops via
+// parallel.For route every spawn through internal/parallel — no findings.
 func TestNoRawGoClean(t *testing.T) {
 	analysistest.Run(t, one(analysis.NoRawGo), "testdata/norawgo/clean", fixturePath)
 }

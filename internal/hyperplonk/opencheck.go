@@ -61,61 +61,19 @@ func openCheckClaim(claims []evalClaim, alpha ff.Element) ff.Element {
 	return sum
 }
 
-// proveOpenCheck runs one OpenCheck instance end-to-end: the transcript-
-// interactive stream followed immediately by the deferred witness MSMs.
-// polys are the distinct committed polynomials (tables); commTabs may alias
-// polys (unused here but kept for clarity at call sites).
-func proveOpenCheck(tr *transcript.Transcript, srs *pcs.SRS, label string, polys []*mle.Table, commTabs []*mle.Table, claims []evalClaim, points []openPoint, cfg sumcheck.Config) (*OpenProof, error) {
-	_ = commTabs
-	d, err := proveOpenCheckStream(nil, tr, label, polys, claims, points, nil, cfg)
-	if err != nil {
-		return nil, err
-	}
-	if err := d.computeWitness(nil, srs, cfg.Workers); err != nil {
-		return nil, err
-	}
-	return d.op, nil
-}
-
-// openDeferred carries an OpenCheck whose transcript traffic is complete but
-// whose witness commitments (the batched PCS opening's Qs) are still owed.
-// The pipelined prover runs computeWitness as a detached stage: nothing in
-// the remaining transcript depends on the Qs, so open/main's witness MSM
-// chain overlaps open/v's entire SumCheck.
-type openDeferred struct {
-	op     *OpenProof
-	label  string
-	polys  []*mle.Table
-	coeffs []ff.Element
-	rStar  []ff.Element
-}
-
-// proveOpenCheckStream runs the transcript-interactive part of one
-// OpenCheck: the α challenge, the SumCheck, the finals absorption, the β
-// challenge, and the opened-value absorption. The opened value is computed
-// as the dot product Σ βⁱ·f_i(r*) over the SumCheck's final evaluations —
-// field arithmetic is exact and the batched table Σ βⁱ·f_i is linear, so
-// this is the SAME field element the deferred OpenWorkers fold produces
-// (computeWitness asserts it), and the transcript never waits for the
-// witness MSMs.
-//
-// eqTabs, when non-nil, are precomputed eq tables for points (built by an
-// overlapped stage); nil builds them here.
-func proveOpenCheckStream(ctx context.Context, tr *transcript.Transcript, label string, polys []*mle.Table, claims []evalClaim, points []openPoint, eqTabs []*mle.Table, cfg sumcheck.Config) (*openDeferred, error) {
+// proveOpenCheck runs one OpenCheck instance: the α challenge, the
+// SumCheck, the finals absorption, the β challenge, the batched PCS opening
+// of Σ βⁱ·f_i at the SumCheck's final point r*, and the opened-value
+// absorption. polys are the distinct committed polynomials (tables).
+// Cancelling ctx aborts the SumCheck rounds and the opening's witness MSMs.
+func proveOpenCheck(ctx context.Context, tr *transcript.Transcript, srs *pcs.SRS, label string, polys []*mle.Table, claims []evalClaim, points []openPoint, cfg sumcheck.Config) (*OpenProof, error) {
 	alpha := tr.ChallengeScalar(label + "/alpha")
 	comp := buildOpenCheckComposite(len(polys), len(points), claims, alpha)
 
 	tabs := make([]*mle.Table, 0, len(polys)+len(points))
 	tabs = append(tabs, polys...)
-	if eqTabs != nil {
-		if len(eqTabs) != len(points) {
-			return nil, fmt.Errorf("hyperplonk: %s: %d eq tables for %d points", label, len(eqTabs), len(points))
-		}
-		tabs = append(tabs, eqTabs...)
-	} else {
-		for _, pt := range points {
-			tabs = append(tabs, mle.EqWorkers(pt.coords, cfg.Workers))
-		}
+	for _, pt := range points {
+		tabs = append(tabs, mle.EqWorkers(pt.coords, cfg.Workers))
 	}
 	assign, err := sumcheck.NewAssignment(comp, tabs)
 	if err != nil {
@@ -132,48 +90,16 @@ func proveOpenCheckStream(ctx context.Context, tr *transcript.Transcript, label 
 	tr.AppendScalars(label+"/finals", op.PolyEvals)
 
 	beta := tr.ChallengeScalar(label + "/beta")
-	coeffs := betaPowers(beta, len(polys))
-	var t ff.Element
-	var opened ff.Element
-	for i := range op.PolyEvals {
-		t.Mul(&coeffs[i], &op.PolyEvals[i])
-		opened.Add(&opened, &t)
-	}
-	op.Opened = opened
-	tr.AppendScalar(label+"/opened", &opened)
-	return &openDeferred{op: op, label: label, polys: polys, coeffs: coeffs, rStar: rStar}, nil
-}
-
-// computeWitness produces the batched single-point opening Σ βⁱ·f_i at r*
-// and checks the fold reproduces the already-absorbed opened value exactly.
-func (d *openDeferred) computeWitness(ctx context.Context, srs *pcs.SRS, workers int) error {
-	return d.computeWitnessElastic(ctx, srs, func() (int, func(), error) { return workers, func() {}, nil })
-}
-
-// computeWitnessElastic is computeWitness with a per-phase worker lease
-// (one grant for the combine, one per PCS fold level). The pipelined
-// prover's two witness chains use it so that whichever chain finishes
-// first donates its workers to the survivor mid-chain; worker counts never
-// change the field results, so the proof bytes are unaffected.
-func (d *openDeferred) computeWitnessElastic(ctx context.Context, srs *pcs.SRS, acquire func() (int, func(), error)) error {
-	workers, release, err := acquire()
+	combined, err := pcs.CombineTablesWorkers(polys, betaPowers(beta, len(polys)), cfg.Workers)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	combined, err := pcs.CombineTablesWorkers(d.polys, d.coeffs, workers)
-	release()
+	op.Opened, op.PCS, err = srs.OpenWorkersCtx(ctx, combined, rStar, cfg.Workers)
 	if err != nil {
-		return err
+		return nil, fmt.Errorf("hyperplonk: %s opening: %w", label, err)
 	}
-	opened, proofPCS, err := srs.OpenElasticCtx(ctx, combined, d.rStar, acquire)
-	if err != nil {
-		return fmt.Errorf("hyperplonk: %s opening: %w", d.label, err)
-	}
-	if !opened.Equal(&d.op.Opened) {
-		return fmt.Errorf("hyperplonk: %s: deferred opening fold diverged from absorbed value", d.label)
-	}
-	d.op.PCS = proofPCS
-	return nil
+	tr.AppendScalar(label+"/opened", &op.Opened)
+	return op, nil
 }
 
 // verifyOpenCheck replays one OpenCheck instance against the commitments.

@@ -21,31 +21,31 @@ type Config struct {
 	// permutation construction, SumCheck scans, batch evaluations, and PCS
 	// openings all share it. 0 = GOMAXPROCS.
 	Workers int
-	// Sequential forces the strict five-step schedule (each protocol step
-	// finishes before the next starts). The default pipelined schedule
-	// overlaps stages across Fiat-Shamir barriers via the dependency DAG in
-	// pipeline.go; both produce byte-identical proofs for every budget.
+	// Sequential is ignored: Prove has a single schedule, the strict
+	// five-step order. The field remains so existing callers that set it
+	// (perfbench/layers.go) keep compiling.
 	Sequential bool
-	// MemoryBudget, when positive, selects the bounded-memory streamed
-	// schedule (stream.go): spilled preprocessed tables load only for the
-	// steps that read them, the permutation argument's check tables drop
-	// the moment the PermCheck SumCheck ends, and every MSM against an
-	// offloaded SRS streams basis chunks through arena scratch. The proof
-	// bytes are identical to the other schedules at every budget; the
-	// budget bounds the prover's live set, and the harness pairs it with
-	// GOMEMLIMIT to bound the process RSS (DESIGN.md §8).
+	// MemoryBudget, when positive, marks a bounded-memory session
+	// (DESIGN.md §8): the wire commitments run one at a time instead of
+	// concurrently, so only one MSM streams its basis chunks through arena
+	// scratch against the session's offloaded SRS. It is also the only way
+	// to prove from a spilled index (PreprocessSpilled). The proof bytes
+	// are identical at every budget.
 	MemoryBudget int64
 }
 
+// stepHook, when non-nil, runs at each protocol step boundary (steps 1–5)
+// after the cancellation check. Tests use it to land a cancel inside a
+// chosen step; it is nil in production.
+var stepHook func(step int)
+
 // Prove generates a HyperPlonk proof that the circuit is satisfied by its
-// embedded witness. Cancelling ctx aborts the prover promptly — stage
-// boundaries plus mid-kernel polls inside the MSM and SumCheck scans; a nil
-// ctx never cancels. Prove only reads srs, idx and c, so many proofs of the
-// same index may run concurrently.
-//
-// The default schedule is the pipelined dependency DAG (pipeline.go);
-// cfg.Sequential selects the strict five-step reference schedule. The
-// proof bytes are identical either way.
+// embedded witness. The five protocol steps run in order, each finishing
+// before the next starts; within a step every kernel spends the one worker
+// budget. Cancelling ctx aborts the prover promptly — step boundaries plus
+// mid-kernel polls inside the MSM and SumCheck scans — and Prove then
+// returns ctx.Err(); a nil ctx never cancels. Prove only reads srs, idx and
+// c, so many proofs of the same index may run concurrently.
 func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -53,53 +53,66 @@ func Prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg 
 	if c.NumVars != idx.NumVars {
 		return nil, fmt.Errorf("hyperplonk: circuit/index size mismatch")
 	}
-	if cfg.MemoryBudget > 0 {
-		return proveStreamed(ctx, srs, idx, c, cfg)
-	}
-	if idx.SigmaSpill != nil && idx.SigmaTabs == nil {
+	if cfg.MemoryBudget <= 0 && idx.SigmaSpill != nil && idx.SigmaTabs == nil {
 		return nil, fmt.Errorf("hyperplonk: index is spilled to disk; prove with a memory budget (Config.MemoryBudget)")
 	}
-	if cfg.Sequential {
-		return proveSequential(ctx, srs, idx, c, cfg)
+	proof, err := prove(ctx, srs, idx, c, cfg)
+	if err != nil && ctx.Err() != nil {
+		// Report a cancellation as such, not as the kernel error it
+		// surfaced through.
+		return nil, ctx.Err()
 	}
-	return provePipelined(ctx, srs, idx, c, cfg)
+	return proof, err
 }
 
-// proveSequential is the strict five-step reference schedule with a
-// Fiat-Shamir barrier between steps; the schedule-equivalence tests pin the
-// pipelined prover against it byte-for-byte.
-func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
+// prove runs the five protocol steps. The spilled σ tables (if any) load
+// from disk only for the steps that read them — the argument build, the
+// batch evaluations, and the main opening — and each copy drops when its
+// step ends; for an in-core index loadSigmas returns the resident tables.
+func prove(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Circuit, cfg Config) (*Proof, error) {
 	tr := newTranscript(idx)
 	proof := &Proof{}
 	workers := parallel.Workers(cfg.Workers)
 	scCfg := sumcheck.Config{Workers: workers}
+	step := func(n int) error {
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		if stepHook != nil {
+			stepHook(n)
+		}
+		return nil
+	}
 
 	// ---- Step 1: Witness commitments (Sparse MSMs in hardware). ----
 	// The per-wire MSMs are independent; run them concurrently, dividing the
-	// budget so the step uses ~workers goroutines overall. Commitments are
-	// appended to the transcript in wire order afterwards, so the transcript
-	// is identical to the sequential schedule.
-	if err := ctx.Err(); err != nil {
+	// budget so the step uses ~workers goroutines overall — or one at a time
+	// under a memory budget. Commitments are appended to the transcript in
+	// wire order afterwards.
+	if err := step(1); err != nil {
 		return nil, err
 	}
-	wireComms := make([]pcs.Commitment, len(c.Wires))
+	inFlight := workers
+	if cfg.MemoryBudget > 0 {
+		inFlight = 1
+	}
+	proof.WireComms = make([]pcs.Commitment, len(c.Wires))
 	wireErrs := make([]error, len(c.Wires))
-	perWire := parallel.Split(workers, len(c.Wires))
-	parallel.Run(workers, len(c.Wires), func(j int) {
-		wireComms[j], wireErrs[j] = srs.CommitWorkers(c.Wires[j], perWire)
+	perWire := parallel.Split(workers, min(inFlight, len(c.Wires)))
+	parallel.Run(inFlight, len(c.Wires), func(j int) {
+		proof.WireComms[j], wireErrs[j] = srs.CommitCtx(ctx, c.Wires[j], perWire)
 	})
 	for j, err := range wireErrs {
 		if err != nil {
 			return nil, fmt.Errorf("hyperplonk: wire %d commit: %w", j, err)
 		}
 	}
-	for _, comm := range wireComms {
-		proof.WireComms = append(proof.WireComms, comm)
+	for _, comm := range proof.WireComms {
 		appendComm(tr, "wire", comm)
 	}
 
 	// ---- Step 2: Gate Identity (ZeroCheck). ----
-	if err := ctx.Err(); err != nil {
+	if err := step(2); err != nil {
 		return nil, err
 	}
 	gate := idx.Gate
@@ -111,7 +124,7 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 	if err != nil {
 		return nil, err
 	}
-	gateZC, rGate, err := sumcheck.ProveZero(tr, gateAssign, scCfg)
+	gateZC, rGate, err := sumcheck.ProveZeroCtx(ctx, tr, gateAssign, scCfg)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: gate zerocheck: %w", err)
 	}
@@ -122,13 +135,17 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 	tr.AppendScalars("gate/evals", proof.GateEvals)
 
 	// ---- Step 3: Wire Identity (PermCheck). ----
-	if err := ctx.Err(); err != nil {
+	if err := step(3); err != nil {
 		return nil, err
 	}
 	beta := tr.ChallengeScalar("perm/beta")
 	gamma := tr.ChallengeScalar("perm/gamma")
-	arg := perm.BuildWorkers(c.Wires, idx.SigmaTabs, beta, gamma, workers)
-	vComm, err := srs.CommitWorkers(arg.V, workers)
+	sigmas, err := loadSigmas(ctx, idx)
+	if err != nil {
+		return nil, err
+	}
+	arg := perm.BuildWorkers(c.Wires, sigmas, beta, gamma, workers)
+	vComm, err := srs.CommitCtx(ctx, arg.V, workers)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: product-tree commit: %w", err)
 	}
@@ -141,20 +158,33 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 	if err != nil {
 		return nil, err
 	}
-	permZC, rPerm, err := sumcheck.ProveZero(tr, permAssign, scCfg)
+	// The (2k+4)·N check tables are the proof's peak residency. Once the
+	// SumCheck's first fold materializes its half-size working tables it
+	// never reads them again, so free them mid-SumCheck: steps 4–5 evaluate
+	// and open only V, which the drop preserves.
+	permCfg := scCfg
+	permCfg.ReleaseSources = func() {
+		arg.DropCheckTables()
+		clear(permTabs)
+	}
+	permZC, rPerm, err := sumcheck.ProveZeroCtx(ctx, tr, permAssign, permCfg)
 	if err != nil {
 		return nil, fmt.Errorf("hyperplonk: perm zerocheck: %w", err)
 	}
 	proof.PermZC = permZC
+	arg.DropCheckTables()
 
 	// ---- Step 4: Batch Evaluations (Multifunction Forest in hardware). ----
 	// All 4 + 2k evaluations are independent; run them concurrently with the
-	// budget divided among them. Transcript appends keep the sequential
-	// order below.
-	if err := ctx.Err(); err != nil {
+	// budget divided among them. Transcript appends keep the fixed order
+	// below.
+	if err := step(4); err != nil {
 		return nil, err
 	}
 	piPt, p1Pt, p2Pt, phiPt := perm.ViewPoints(rPerm)
+	if sigmas, err = loadSigmas(ctx, idx); err != nil {
+		return nil, err
+	}
 	proof.WirePermEvals = make([]ff.Element, idx.Wires)
 	proof.SigmaPermEvals = make([]ff.Element, idx.Wires)
 	type evalJob struct {
@@ -171,7 +201,7 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 	for j := 0; j < idx.Wires; j++ {
 		jobs = append(jobs,
 			evalJob{&proof.WirePermEvals[j], c.Wires[j], rPerm},
-			evalJob{&proof.SigmaPermEvals[j], idx.SigmaTabs[j], rPerm})
+			evalJob{&proof.SigmaPermEvals[j], sigmas[j], rPerm})
 	}
 	perEval := parallel.Split(workers, len(jobs))
 	parallel.Run(workers, len(jobs), func(i int) {
@@ -182,17 +212,19 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 	tr.AppendScalars("perm/sevals", proof.SigmaPermEvals)
 
 	// ---- Step 5: Polynomial Opening (OpenCheck + batched PCS opening). ----
-	if err := ctx.Err(); err != nil {
+	if err := step(5); err != nil {
 		return nil, err
 	}
-	mainPolys, mainComms := openingSet(idx, c.Wires, proof)
+	if sigmas, err = loadSigmas(ctx, idx); err != nil {
+		return nil, err
+	}
+	mainPolys := openingPolys(idx, c.Wires, sigmas)
 	mainClaims := mainClaimList(idx, proof, rGate, rPerm)
-	proof.OpenMain, err = proveOpenCheck(tr, srs, "open/main", mainPolys, mainComms.tables, mainClaims, []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}, scCfg)
-	if err != nil {
+	mainPoints := []openPoint{{name: "gate", coords: rGate}, {name: "perm", coords: rPerm}}
+	if proof.OpenMain, err = proveOpenCheck(ctx, tr, srs, "open/main", mainPolys, mainClaims, mainPoints, scCfg); err != nil {
 		return nil, err
 	}
 
-	vPolys := []*mle.Table{arg.V}
 	vClaims := []evalClaim{
 		{Poly: 0, Point: 0, Value: proof.VEvals[0]},
 		{Poly: 0, Point: 1, Value: proof.VEvals[1]},
@@ -205,11 +237,33 @@ func proveSequential(ctx context.Context, srs *pcs.SRS, idx *Index, c *gates.Cir
 		{name: "p2", coords: p2Pt},
 		{name: "phi", coords: phiPt},
 	}
-	proof.OpenV, err = proveOpenCheck(tr, srs, "open/v", vPolys, nil, vClaims, vPoints, scCfg)
-	if err != nil {
+	if proof.OpenV, err = proveOpenCheck(ctx, tr, srs, "open/v", []*mle.Table{arg.V}, vClaims, vPoints, scCfg); err != nil {
 		return nil, err
 	}
 	return proof, nil
+}
+
+// loadSigmas returns the σ tables for one protocol step: the resident ones
+// when the index is in-core, a freshly loaded copy from the spill store when
+// it is spilled. Callers drop the returned slice when the step ends; the
+// table values are identical either way (the spill codec round-trips raw
+// Montgomery limbs), so the choice cannot affect proof bytes.
+func loadSigmas(ctx context.Context, idx *Index) ([]*mle.Table, error) {
+	if idx.SigmaTabs != nil {
+		return idx.SigmaTabs, nil
+	}
+	if idx.SigmaSpill == nil {
+		return nil, fmt.Errorf("hyperplonk: index has neither resident nor spilled σ tables")
+	}
+	tabs := make([]*mle.Table, len(idx.SigmaSpill))
+	for i, h := range idx.SigmaSpill {
+		t, err := h.Load(ctx)
+		if err != nil {
+			return nil, fmt.Errorf("hyperplonk: reload σ_%d: %w", i+1, err)
+		}
+		tabs[i] = t
+	}
+	return tabs, nil
 }
 
 // --- shared helpers (used by both prover and verifier) ---
@@ -347,23 +401,14 @@ func stripEq(c *poly.Composite) *poly.Composite {
 	return out
 }
 
-// openingSet lists the distinct µ-variable committed polynomials in a fixed
-// order: selectors, wires, sigmas.
-type commSet struct {
-	tables []*mle.Table
-	comms  []pcs.Commitment
-}
-
-func openingSet(idx *Index, wires []*mle.Table, proof *Proof) ([]*mle.Table, commSet) {
-	var tabs []*mle.Table
-	var comms []pcs.Commitment
+// openingPolys lists the distinct µ-variable committed polynomials in the
+// opening order: selectors, wires, sigmas (openingComms is the verifier's
+// matching commitment list).
+func openingPolys(idx *Index, wires, sigmas []*mle.Table) []*mle.Table {
+	tabs := make([]*mle.Table, 0, len(idx.SelectorTabs)+len(wires)+len(sigmas))
 	tabs = append(tabs, idx.SelectorTabs...)
-	comms = append(comms, idx.SelectorComms...)
 	tabs = append(tabs, wires...)
-	comms = append(comms, proof.WireComms...)
-	tabs = append(tabs, idx.SigmaTabs...)
-	comms = append(comms, idx.SigmaComms...)
-	return tabs, commSet{tables: tabs, comms: comms}
+	return append(tabs, sigmas...)
 }
 
 func openingComms(idx *Index, proof *Proof) []pcs.Commitment {

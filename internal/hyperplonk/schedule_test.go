@@ -1,121 +1,132 @@
 package hyperplonk
 
 import (
-	"bytes"
 	"context"
 	"errors"
 	"runtime"
 	"testing"
 	"time"
+
+	"zkphire/internal/gates"
+	"zkphire/internal/pcs"
+	"zkphire/internal/spill"
 )
 
-// TestScheduleEquivalence pins the pipelined prover against the strict
-// five-step reference schedule: the proof bytes must be identical for every
-// worker budget, because the Sequencer replays the transcript traffic in
-// exactly the sequential order and all overlapped kernels are value-
-// preserving (exact field arithmetic, canonical group encoding).
-func TestScheduleEquivalence(t *testing.T) {
-	circuits := []struct {
-		name string
-		nv   int
-	}{
-		{"vanilla", 4},
-		{"vanilla", 6},
-		{"jellyfish", 5},
-	}
-	budgets := []int{1, 2, runtime.GOMAXPROCS(0)}
-	for _, cs := range circuits {
-		c := buildVanillaCircuit(t, 3, cs.nv)
-		if cs.name == "jellyfish" {
-			c = buildJellyfishCircuit(t, cs.nv)
-		}
-		idx, err := PreprocessWorkers(testSRS, c, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		ref, err := Prove(context.Background(), testSRS, idx, c, Config{Workers: 1, Sequential: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		refBytes, err := ref.MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, w := range budgets {
-			for _, sequential := range []bool{false, true} {
-				proof, err := Prove(context.Background(), testSRS, idx, c, Config{Workers: w, Sequential: sequential})
-				if err != nil {
-					t.Fatalf("%s/nv=%d workers=%d sequential=%v: %v", cs.name, cs.nv, w, sequential, err)
-				}
-				b, err := proof.MarshalBinary()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(b, refBytes) {
-					t.Fatalf("%s/nv=%d workers=%d sequential=%v: proof bytes diverged from the sequential w=1 reference", cs.name, cs.nv, w, sequential)
-				}
-				if err := Verify(testSRS, idx, proof); err != nil {
-					t.Fatalf("%s/nv=%d workers=%d sequential=%v: %v", cs.name, cs.nv, w, sequential, err)
-				}
-			}
-		}
-	}
+// proveSetup is one way to run the prover: an index, the SRS it was
+// preprocessed against, and the prover config.
+type proveSetup struct {
+	name string
+	srs  *pcs.SRS
+	idx  *Index
+	cfg  Config
 }
 
-// TestPipelinedCancellation cancels a pipelined proof mid-flight and checks
-// it aborts promptly: the DAG's graph context fans the cancellation into
-// every stage, the MSM and SumCheck kernels poll it inside their hot loops,
-// and Prove must return context.Canceled — not a wrapped stage error and not
-// a completed proof.
-func TestPipelinedCancellation(t *testing.T) {
-	c := buildVanillaCircuit(t, 3, 8)
+// proveSetups returns the in-core setup and the bounded-memory one (an
+// offloaded SRS with a one-byte cache, so every MSM streams basis chunks,
+// and a spilled index) for circuit c.
+func proveSetups(t *testing.T, c *gates.Circuit) []proveSetup {
+	t.Helper()
 	idx, err := PreprocessWorkers(testSRS, c, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, delay := range []time.Duration{0, 200 * time.Microsecond, 2 * time.Millisecond} {
-		ctx, cancel := context.WithCancel(context.Background())
-		done := make(chan error, 1)
-		go func() {
-			_, err := Prove(ctx, testSRS, idx, c, Config{Workers: 2})
-			done <- err
-		}()
-		time.Sleep(delay)
-		start := time.Now()
-		cancel()
-		select {
-		case err := <-done:
-			if !errors.Is(err, context.Canceled) {
-				t.Fatalf("delay %v: Prove error = %v, want context.Canceled", delay, err)
+	srs := pcs.SetupDeterministic(9, 777) // testSRS's parameters; Offload is sticky
+	if err := srs.Offload(t.TempDir(), 1); err != nil {
+		t.Fatal(err)
+	}
+	store, err := spill.NewStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { store.Close() })
+	spilled, err := PreprocessSpilled(srs, c, 1, store)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []proveSetup{
+		{"in-core", testSRS, idx, Config{Workers: 2}},
+		{"memory-budget", srs, spilled, Config{Workers: 2, MemoryBudget: 1 << 20}},
+	}
+}
+
+// TestPipelinedCancellation cancels a proof mid-flight and checks it aborts
+// promptly: the MSM and SumCheck kernels poll ctx inside their hot loops,
+// every step boundary checks it, and Prove must return context.Canceled —
+// not a wrapped kernel error and not a completed proof. Cancels land after
+// fixed delays and, through stepHook, inside step 5 (the OpenCheck
+// SumChecks and opening witness MSMs, about 45% of a proof) just after its
+// boundary check has passed. Both the in-core and the memory-budget setup
+// are covered.
+func TestPipelinedCancellation(t *testing.T) {
+	c := buildVanillaCircuit(t, 3, 8)
+	cases := []struct {
+		delay  time.Duration
+		atStep int // cancel from stepHook at this step instead of after delay
+	}{
+		{delay: 0}, {delay: 200 * time.Microsecond}, {delay: 2 * time.Millisecond}, {atStep: 5},
+	}
+	for _, s := range proveSetups(t, c) {
+		t.Run(s.name, func(t *testing.T) {
+			defer func() { stepHook = nil }()
+			for _, tc := range cases {
+				ctx, cancel := context.WithCancel(context.Background())
+				var start time.Time
+				cancelNow := func() {
+					start = time.Now()
+					cancel()
+				}
+				stepHook = nil
+				if tc.atStep > 0 {
+					stepHook = func(step int) {
+						if step == tc.atStep {
+							cancelNow()
+						}
+					}
+				}
+				done := make(chan error, 1)
+				go func() {
+					_, err := Prove(ctx, s.srs, s.idx, c, s.cfg)
+					done <- err
+				}()
+				if tc.atStep == 0 {
+					time.Sleep(tc.delay)
+					cancelNow()
+				}
+				select {
+				case err := <-done:
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("%+v: Prove error = %v, want context.Canceled", tc, err)
+					}
+					if lat := time.Since(start); lat > 2*time.Second {
+						t.Fatalf("%+v: cancellation took %v", tc, lat)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%+v: prover did not abort after cancellation", tc)
+				}
+				cancel()
 			}
-			if lat := time.Since(start); lat > 2*time.Second {
-				t.Fatalf("delay %v: cancellation took %v", delay, lat)
-			}
-		case <-time.After(10 * time.Second):
-			t.Fatalf("delay %v: prover did not abort after cancellation", delay)
-		}
+		})
 	}
 }
 
 // TestPipelinedGoroutineDrain proves repeatedly — including cancelled runs —
-// and checks the scheduler leaks no goroutines: every stage goroutine exits
-// before Prove returns (Graph.Wait is a full barrier), so the count returns
-// to its baseline.
+// in-core and under a memory budget, and checks the prover leaks no
+// goroutines: every kernel joins its workers before returning, so the count
+// returns to its baseline.
 func TestPipelinedGoroutineDrain(t *testing.T) {
 	c := buildVanillaCircuit(t, 3, 6)
-	idx, err := PreprocessWorkers(testSRS, c, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	setups := proveSetups(t, c)
 	baseline := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		if _, err := Prove(context.Background(), testSRS, idx, c, Config{Workers: 2}); err != nil {
-			t.Fatal(err)
-		}
-		ctx, cancel := context.WithCancel(context.Background())
-		cancel()
-		if _, err := Prove(ctx, testSRS, idx, c, Config{Workers: 2}); !errors.Is(err, context.Canceled) {
-			t.Fatalf("pre-cancelled Prove error = %v, want context.Canceled", err)
+		for _, s := range setups {
+			if _, err := Prove(context.Background(), s.srs, s.idx, c, s.cfg); err != nil {
+				t.Fatalf("%s: %v", s.name, err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			if _, err := Prove(ctx, s.srs, s.idx, c, s.cfg); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: pre-cancelled Prove error = %v, want context.Canceled", s.name, err)
+			}
 		}
 	}
 	// The runtime may retire worker-pool goroutines lazily; poll briefly.

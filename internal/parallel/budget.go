@@ -105,9 +105,9 @@ func (b *Budget) Acquire(ctx context.Context, n int) (*Lease, error) {
 
 // AcquireUpTo leases between min and max workers: it blocks until min are
 // free (FIFO-fair, honouring ctx), then tops the grant up with whatever
-// additional capacity is free at that moment, capped at max. Pipelined
-// prover stages use it to make progress with one worker while an earlier
-// stage still holds the rest, without ever oversubscribing the budget.
+// additional capacity is free at that moment, capped at max, so a task can
+// make progress with its minimum while others still hold the rest, without
+// ever oversubscribing the budget. Acquire is the min == max case.
 // Lease.Workers reports the actual grant.
 func (b *Budget) AcquireUpTo(ctx context.Context, min, max int) (*Lease, error) {
 	if ctx == nil {

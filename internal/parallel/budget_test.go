@@ -215,3 +215,42 @@ func TestOutstandingLeases(t *testing.T) {
 		t.Fatalf("outstanding after cancelled waiter = %d, want 0", n)
 	}
 }
+
+func TestAcquireUpTo(t *testing.T) {
+	b := NewBudget(4)
+	l1, err := b.AcquireUpTo(nil, 1, 3)
+	if err != nil || l1.Workers() != 3 {
+		t.Fatalf("first AcquireUpTo(1,3) = %d workers, err %v; want 3", l1.Workers(), err)
+	}
+	// 1 free: min fits, grant tops out at the free capacity.
+	l2, err := b.AcquireUpTo(nil, 1, 4)
+	if err != nil || l2.Workers() != 1 {
+		t.Fatalf("second AcquireUpTo(1,4) = %d workers, err %v; want 1", l2.Workers(), err)
+	}
+	// Nothing free: a min=2 request parks until a release, then tops up.
+	done := make(chan int)
+	go func() {
+		l3, err := b.AcquireUpTo(context.Background(), 2, 4)
+		if err != nil {
+			t.Error(err)
+			done <- -1
+			return
+		}
+		n := l3.Workers()
+		l3.Release()
+		done <- n
+	}()
+	select {
+	case n := <-done:
+		t.Fatalf("blocked AcquireUpTo returned %d before capacity freed", n)
+	case <-time.After(10 * time.Millisecond):
+	}
+	l1.Release()
+	if n := <-done; n != 3 {
+		t.Fatalf("woken AcquireUpTo granted %d, want 3 (min 2 topped up to free capacity)", n)
+	}
+	l2.Release()
+	if b.InUse() != 0 {
+		t.Fatalf("budget not drained: %s", b)
+	}
+}

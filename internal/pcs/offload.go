@@ -351,22 +351,11 @@ func (b *backing) evictLocked() {
 	}
 }
 
-// readBasisEndoRange fills pts (and, when endoOut is non-nil, endoOut) with
-// level k's basis points [off, off+len(pts)) and their φ-table, serving from
-// the cache when the level happens to be loaded and streaming from the store
-// otherwise.
+// readBasisEndoRange fills pts and endoOut with offloaded level k's basis
+// points [off, off+len(pts)) and their φ-table, serving from the cache when
+// the level happens to be loaded and streaming from the store otherwise.
 func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1Affine, endoOut []fp.Element, workers int) error {
-	if s.Levels[k] != nil {
-		copy(pts, s.Levels[k][off:])
-		if endoOut != nil {
-			copy(endoOut, s.EndoPoints(k, workers)[off:])
-		}
-		return nil
-	}
 	b := s.back
-	if b == nil {
-		return fmt.Errorf("pcs: level %d is neither resident nor backed", k)
-	}
 	b.mu.Lock()
 	e := &b.lev[k]
 	if e.pts != nil {
@@ -376,9 +365,7 @@ func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1
 		src, srcEndo := e.pts, e.endo
 		b.mu.Unlock()
 		copy(pts, src[off:])
-		if endoOut != nil {
-			copy(endoOut, srcEndo[off:])
-		}
+		copy(endoOut, srcEndo[off:])
 		b.unpin(k)
 		return nil
 	}
@@ -386,9 +373,7 @@ func (s *SRS) readBasisEndoRange(ctx context.Context, k, off int, pts []curve.G1
 	if err := b.readPointsRange(ctx, k, off, pts); err != nil {
 		return err
 	}
-	if endoOut != nil {
-		curve.EndoPointsInto(endoOut, pts, workers)
-	}
+	curve.EndoPointsInto(endoOut, pts, workers)
 	return nil
 }
 

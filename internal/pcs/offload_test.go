@@ -87,27 +87,6 @@ func TestOffloadByteIdentical(t *testing.T) {
 		t.Fatalf("verify on backed SRS: %v", err)
 	}
 
-	// Streamed commitment over backed basis: feed out-of-order segments of
-	// mixed sizes (chunked partial MSMs + the gather path).
-	sc, err := srs.CommitStream(nv)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n := 1 << nv
-	segs := [][2]int{{n / 2, n}, {100, n / 2}, {0, 100}}
-	for _, seg := range segs {
-		if err := sc.Feed(context.Background(), seg[0], dense.Evals[seg[0]:seg[1]], 2); err != nil {
-			t.Fatalf("Feed(%v): %v", seg, err)
-		}
-	}
-	streamComm, err := sc.Finish(context.Background(), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !streamComm.Point.Equal(&denseComm.Point) {
-		t.Fatal("streamed commitment on backed SRS differs from in-core")
-	}
-
 	// The cache respects its byte budget once nothing is pinned.
 	b := srs.back
 	b.mu.Lock()

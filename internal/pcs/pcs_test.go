@@ -1,6 +1,7 @@
 package pcs
 
 import (
+	"context"
 	"testing"
 
 	"zkphire/internal/ff"
@@ -211,5 +212,21 @@ func BenchmarkOpen2_8(b *testing.B) {
 		if _, _, err := testSRS.Open(tab, z); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestCommitCtxCancelled checks CommitCtx returns promptly with ctx.Err()
+// on a pre-cancelled context and that the error propagates from the MSM.
+func TestCommitCtxCancelled(t *testing.T) {
+	srs := SetupDeterministic(8, 7)
+	rng := ff.NewRand(3)
+	tab := mle.FromEvals(rng.Elements(1 << 8))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := srs.CommitCtx(ctx, tab, 2); err != context.Canceled {
+		t.Fatalf("CommitCtx on cancelled ctx = %v, want context.Canceled", err)
+	}
+	if _, _, err := srs.OpenWorkersCtx(ctx, tab, rng.Elements(8), 2); err != context.Canceled {
+		t.Fatalf("OpenWorkersCtx on cancelled ctx = %v, want context.Canceled", err)
 	}
 }

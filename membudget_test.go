@@ -88,7 +88,7 @@ func TestMemoryBudgetRegression(t *testing.T) {
 	{
 		srs := syntheticSRS(lg + 1)
 		r := membench.Sample(func() {
-			p, err := NewProver(srs, compiled, WithSequentialSchedule())
+			p, err := NewProver(srs, compiled)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,27 +105,17 @@ func WithWorkers(n int) ProverOption {
 	return func(p *Prover) { p.workers = n }
 }
 
-// WithSequentialSchedule forces the strict five-step prover schedule (each
-// protocol step finishes before the next starts) instead of the default
-// pipelined dependency-DAG schedule that overlaps MSM commits, SumCheck
-// rounds, and batch evaluations across Fiat-Shamir barriers. The proof bytes
-// are identical either way — this option exists for benchmarking the overlap
-// and as a diagnostic fallback.
-func WithSequentialSchedule() ProverOption {
-	return func(p *Prover) { p.sequential = true }
-}
-
 // WithMemoryBudget bounds the session's working set to roughly bytes of
-// live prover data, selecting the streaming out-of-core schedule end to
-// end: NewProver offloads the SRS commitment bases to disk behind a bounded
-// lazily-loaded level cache, parks the wiring-permutation tables in a
-// spill store (checksummed tmpfile pages), and Prove runs the
-// bounded-memory pass schedule — spilled tables load only for the protocol
-// steps that read them, MSMs against the offloaded basis stream chunks
-// through arena scratch, and the permutation argument's check tables drop
-// the moment the PermCheck SumCheck ends.
+// live prover data: NewProver offloads the SRS commitment bases to disk
+// behind a bounded lazily-loaded level cache and parks the
+// wiring-permutation tables in a spill store (checksummed tmpfile pages).
+// Prove then loads the spilled tables only for the protocol steps that read
+// them, streams MSMs against the offloaded basis in chunks through arena
+// scratch, and commits the wires one at a time instead of concurrently.
+// Every proof, budgeted or not, drops the permutation argument's check
+// tables once the PermCheck SumCheck has folded them.
 //
-// Proof bytes are identical to the in-core schedules at every budget (the
+// Proof bytes are identical to an in-core session's at every budget (the
 // conformance suite in streaming_test.go pins this). The budget bounds
 // zkphire's own live data, not the Go runtime's total footprint; pair it
 // with GOMEMLIMIT (or debug.SetMemoryLimit) to make the process RSS follow.
@@ -145,13 +135,12 @@ func WithMemoryBudget(bytes int64) ProverOption {
 // construction (the spill store of a memory-budgeted session serves
 // concurrent readers behind its own lock).
 type Prover struct {
-	srs        *SRS
-	compiled   *CompiledCircuit
-	vk         *hyperplonk.Index
-	workers    int
-	sequential bool
-	memBudget  int64
-	store      *spill.Store
+	srs       *SRS
+	compiled  *CompiledCircuit
+	vk        *hyperplonk.Index
+	workers   int
+	memBudget int64
+	store     *spill.Store
 }
 
 // NewProver preprocesses the compiled circuit against the SRS and returns a
@@ -241,7 +230,7 @@ func (p *Prover) Verify(proof *Proof) error {
 }
 
 func (p *Prover) prove(ctx context.Context, workers int) (*Proof, error) {
-	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers, Sequential: p.sequential, MemoryBudget: p.memBudget})
+	return hyperplonk.Prove(ctx, p.srs, p.vk, p.compiled.circ, hyperplonk.Config{Workers: workers, MemoryBudget: p.memBudget})
 }
 
 // BatchProve generates n proofs from the one-time preprocessing, proving up
